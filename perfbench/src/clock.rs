@@ -25,15 +25,20 @@ extern "C" {
     fn getrusage(who: i32, usage: *mut Rusage) -> i32;
 }
 
-fn read_clock(clock: i32) -> u64 {
+/// Reads `clock`; `None` when the kernel refuses, as it does for the
+/// clock of a thread that has exited.
+fn try_read_clock(clock: i32) -> Option<u64> {
     let mut ts = Timespec {
         tv_sec: 0,
         tv_nsec: 0,
     };
     // SAFETY: `ts` is a valid, writable `struct timespec` for the call.
     let rc = unsafe { clock_gettime(clock, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime({clock}) failed");
-    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+    (rc == 0).then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
+}
+
+fn read_clock(clock: i32) -> u64 {
+    try_read_clock(clock).unwrap_or_else(|| panic!("clock_gettime({clock}) failed"))
 }
 
 /// CPU time consumed by all threads of this process, ns.
@@ -46,8 +51,9 @@ pub fn thread_cpu_ns() -> u64 {
     read_clock(CLOCK_THREAD_CPUTIME_ID)
 }
 
-/// The CPU clock of another thread. Valid only while that thread has
-/// not been joined.
+/// The CPU clock of another thread. It can be read only while that
+/// thread is running: once the thread has exited its clock is gone,
+/// joined or not.
 #[derive(Clone, Copy)]
 pub struct ThreadClock(i32);
 
@@ -62,9 +68,10 @@ impl ThreadClock {
         Self(clock)
     }
 
-    /// CPU time the thread has consumed so far, ns.
-    pub fn ns(self) -> u64 {
-        read_clock(self.0)
+    /// CPU time the thread has consumed so far, ns; `None` once the
+    /// thread has exited.
+    pub fn ns(self) -> Option<u64> {
+        try_read_clock(self.0)
     }
 }
 

@@ -2,15 +2,17 @@
 
 use crate::clock::{self, ThreadClock};
 use crate::inputs::{self, Msg, Rng, ZipfSchedule, PROC_CHARS};
-use crate::stack::{self, Counters, DpClient, Front, HostTally, Stack, XrpcConn, POLL_TIMEOUT};
+use crate::stack::{
+    self, CacheFlusher, Counters, DpClient, Front, HostTally, Stack, XrpcConn, POLL_TIMEOUT,
+};
 use std::iter::repeat_with;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Stack builds per run; `setup_s` is their median.
-const SETUPS: usize = 7;
+const SETUPS: usize = 11;
 /// Length of one slice of a measured window; rates and costs are
 /// medians over the slices.
 const SLICE: Duration = Duration::from_secs(1);
@@ -29,6 +31,10 @@ const MIX_CYCLE: usize = 1200;
 const MIX_ROUND: usize = 120;
 const MIX_PROBES: u32 = 8;
 const MIX_WARM_ROUNDS: usize = 1;
+/// The cache is emptied before every round whose index is a multiple
+/// of this: once per zipf cycle, so every cycle misses on each of its
+/// keys once and the misses per cycle do not depend on the seed.
+const MIX_FLUSH_ROUNDS: usize = MIX_CYCLE / MIX_ROUND;
 const TENANTS: [&str; 2] = ["t0", "t1"];
 
 /// Run phases. Load threads read them; only `run` writes them.
@@ -44,7 +50,6 @@ fn slot_of(phase: u8) -> Option<usize> {
 /// and the host's handlers.
 pub struct Control {
     phase: AtomicU8,
-    traced: AtomicBool,
     ready: AtomicUsize,
     /// Calls completed in the window they started in.
     completed: AtomicU64,
@@ -54,7 +59,6 @@ impl Control {
     fn new() -> Self {
         Self {
             phase: AtomicU8::new(WARM),
-            traced: AtomicBool::new(false),
             ready: AtomicUsize::new(0),
             completed: AtomicU64::new(0),
         }
@@ -68,10 +72,10 @@ impl Control {
         self.phase.store(p, Ordering::Release);
     }
 
-    /// Whether the traced window is being measured. Tracing is switched
-    /// on only for the second window of a traced run.
+    /// Whether the traced window is being measured: the second window,
+    /// which only a traced run opens.
     pub fn tracing(&self) -> bool {
-        self.traced.load(Ordering::Relaxed) && self.phase() == WINDOW[1]
+        self.phase() == WINDOW[1]
     }
 
     /// Counts a call started in `phase` if that window is still open.
@@ -204,12 +208,13 @@ struct LoadTally {
     enqueued: u64,
     poll_cpu_ns: u64,
     /// Traced only (mix): latency split by whether a cache hit is
-    /// expected (a cacheable key this tenant called before) or the call
-    /// must take the datapath.
+    /// expected (a cacheable key this tenant called before in this cache
+    /// epoch) or the call must take the datapath.
     hit_lat: LatHist,
     miss_lat: LatHist,
     /// Mix, over the stack's life: cacheable calls answered correctly,
-    /// distinct keys among them, and cross-tenant answers.
+    /// distinct keys among them summed over the cache epochs, and
+    /// cross-tenant answers.
     cache_ok_calls: u64,
     cache_ok_keys: u64,
     cross: u64,
@@ -282,30 +287,53 @@ fn xrpc_loop(
     Ok(t)
 }
 
+/// What one tenant of the mix has seen of its keys in the current cache
+/// epoch: which it called, and which were answered correctly.
+struct Epoch {
+    called: Vec<bool>,
+    answered: Vec<bool>,
+}
+
+impl Epoch {
+    fn new(keys: usize) -> Self {
+        Self {
+            called: vec![false; keys],
+            answered: vec![false; keys],
+        }
+    }
+}
+
+/// What the two tenants of the mix share to run their rounds in step.
+struct Lockstep {
+    barrier: Barrier,
+    /// The phase the next round runs in, as the round leader read it.
+    decision: AtomicU8,
+    cache: CacheFlusher,
+}
+
 /// One tenant of the cached mix: rounds of zipf-drawn calls on its own
 /// population, then the probe phase in which t0 and after it t1 call
 /// every probe key. Both tenants run the same rounds, kept in step by
-/// `barrier`; the round leader decides from the phase whether another
-/// round runs, so both always agree.
+/// the barrier; the round leader decides from the phase whether another
+/// round runs, so both always agree, and empties the cache every
+/// `MIX_FLUSH_ROUNDS` rounds while neither tenant has a call in flight.
 fn mix_loop(
     mut conn: XrpcConn,
     feed: &Feed,
     tenant: usize,
     seed: u64,
     ctl: &Control,
-    barrier: &Barrier,
-    decision: &AtomicU8,
-) -> Result<LoadTally, String> {
+    step: &Lockstep,
+) -> LoadTally {
     let mut t = LoadTally::new();
     let mut zipf = ZipfSchedule::new(MIX_POPULATION, MIX_ZIPF_S, MIX_CYCLE);
     let mut rng = Rng::new(seed ^ 0xD15C_0000 ^ tenant as u64);
-    let mut called = vec![false; feed.msgs.len()];
-    let mut answered = vec![false; feed.msgs.len()];
-    let mut call = |t: &mut LoadTally, i: usize, phase: u8| -> Result<(), String> {
+    let mut epoch = Epoch::new(feed.msgs.len());
+    let mut call = |t: &mut LoadTally, e: &mut Epoch, i: usize, phase: u8| {
         let m = &feed.msgs[i];
         let cacheable = m.proc_id != PROC_CHARS;
-        let expect_hit = cacheable && called[i];
-        called[i] = true;
+        let expect_hit = cacheable && e.called[i];
+        e.called[i] = true;
         let t0 = Instant::now();
         let (status, body) = conn.call(m.proc_id, &m.wire);
         let ns = t0.elapsed().as_nanos() as u64;
@@ -314,8 +342,8 @@ fn mix_loop(
         if status == 0 && body[..] == feed.expect[tenant][i] {
             if cacheable {
                 t.cache_ok_calls += 1;
-                if !answered[i] {
-                    answered[i] = true;
+                if !e.answered[i] {
+                    e.answered[i] = true;
                     t.cache_ok_keys += 1;
                 }
             }
@@ -342,37 +370,45 @@ fn mix_loop(
                 }
             }
         }
-        Ok(())
     };
-    let mut round = |t: &mut LoadTally, phase: u8| -> Result<(), String> {
+    let mut round = |t: &mut LoadTally, e: &mut Epoch, phase: u8| {
         for _ in 0..MIX_ROUND {
-            call(t, zipf.next(&mut rng), phase)?;
+            call(t, e, zipf.next(&mut rng), phase);
         }
         for prober in 0..2 {
-            barrier.wait();
+            step.barrier.wait();
             if prober == tenant {
                 for p in 0..MIX_PROBES as usize {
-                    call(t, MIX_POPULATION + p, phase)?;
+                    call(t, e, MIX_POPULATION + p, phase);
                 }
             }
         }
-        Ok(())
     };
     for _ in 0..MIX_WARM_ROUNDS {
-        round(&mut t, WARM)?;
+        round(&mut t, &mut epoch, WARM);
     }
     ctl.arrive_and_wait();
-    loop {
-        if barrier.wait().is_leader() {
-            decision.store(ctl.phase(), Ordering::Release);
+    for r in MIX_WARM_ROUNDS.. {
+        let flush = r % MIX_FLUSH_ROUNDS == 0;
+        if step.barrier.wait().is_leader() {
+            let phase = ctl.phase();
+            if flush && phase != STOP {
+                step.cache.flush();
+            }
+            step.decision.store(phase, Ordering::Release);
         }
-        barrier.wait();
-        let phase = decision.load(Ordering::Acquire);
+        step.barrier.wait();
+        let phase = step.decision.load(Ordering::Acquire);
         if phase == STOP {
-            return Ok(t);
+            break;
         }
-        round(&mut t, phase)?;
+        if flush {
+            // A new cache epoch: every key misses once more.
+            epoch = Epoch::new(feed.msgs.len());
+        }
+        round(&mut t, &mut epoch, phase);
     }
+    t
 }
 
 /// Completion-side state of the datapath loop.
@@ -492,18 +528,19 @@ fn spawn_loads(
     let mut loads = Vec::new();
     match w {
         Workload::XrpcSmall | Workload::XrpcMixCached => {
-            let barrier = Arc::new(Barrier::new(2));
-            let decision = Arc::new(AtomicU8::new(WARM));
+            let lockstep = stack.cache_flusher().map(|cache| {
+                Arc::new(Lockstep {
+                    barrier: Barrier::new(2),
+                    decision: AtomicU8::new(WARM),
+                    cache,
+                })
+            });
             for (k, tenant) in TENANTS.iter().enumerate() {
                 let conn = stack.connect(tenant)?;
-                let (ctl, feeds) = (ctl.clone(), feeds.clone());
-                let (barrier, decision) = (barrier.clone(), decision.clone());
-                loads.push(std::thread::spawn(move || {
-                    if w == Workload::XrpcSmall {
-                        xrpc_loop(conn, &feeds[k], k, &ctl)
-                    } else {
-                        mix_loop(conn, &feeds[k], k, seed, &ctl, &barrier, &decision)
-                    }
+                let (ctl, feeds, lockstep) = (ctl.clone(), feeds.clone(), lockstep.clone());
+                loads.push(std::thread::spawn(move || match lockstep {
+                    None => xrpc_loop(conn, &feeds[k], k, &ctl),
+                    Some(step) => Ok(mix_loop(conn, &feeds[k], k, seed, &ctl, &step)),
                 }));
             }
             Ok((loads, true))
@@ -531,16 +568,28 @@ struct Snap {
     ctr: Counters,
 }
 
-fn snap(stack: &Stack, ctl: &Control, host: ThreadClock, clients: &[ThreadClock]) -> Snap {
-    Snap {
+/// Reads a window boundary. The host and load threads must still be
+/// running: an exited thread's CPU clock cannot be read.
+fn snap(
+    stack: &Stack,
+    ctl: &Control,
+    host: ThreadClock,
+    clients: &[ThreadClock],
+) -> Result<Snap, String> {
+    let gone = || "a thread ended inside a measured window".to_string();
+    let mut client_cpu = 0;
+    for c in clients {
+        client_cpu += c.ns().ok_or_else(gone)?;
+    }
+    Ok(Snap {
         at: Instant::now(),
         completed: ctl.completed.load(Ordering::Relaxed),
         process_cpu: clock::process_cpu_ns(),
-        host_cpu: host.ns(),
-        client_cpu: clients.iter().map(|c| c.ns()).sum(),
+        host_cpu: host.ns().ok_or_else(gone)?,
+        client_cpu,
         switches: clock::usage().voluntary_switches,
         ctr: stack.counters(),
-    }
+    })
 }
 
 /// A named metric value with its unit.
@@ -788,7 +837,7 @@ pub fn run(
     let slices = ((seconds / SLICE.as_secs_f64()).round() as usize).max(1);
     let slice = Duration::from_secs_f64(seconds / slices as f64);
     let mut bounds: Vec<Vec<Snap>> = Vec::new();
-    let mut first = snap(&stack, &ctl, host_clock, &client_clocks);
+    let mut first = snap(&stack, &ctl, host_clock, &client_clocks)?;
     let mut allocs = (0, 0);
     for (s, &phase) in WINDOW.iter().enumerate().take(windows) {
         ctl.set_phase(phase);
@@ -798,15 +847,25 @@ pub fn run(
             let deadline = start + slice * i as u32;
             std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
             if i == slices && s + 1 < windows {
-                ctl.traced.store(true, Ordering::Relaxed);
                 stack::alloc_start();
-            } else if i == slices {
+            }
+            // The last boundary is read before STOP, while the load
+            // threads are still running.
+            let edge = snap(&stack, &ctl, host_clock, &client_clocks);
+            if i == slices && s + 1 == windows {
                 ctl.set_phase(STOP);
                 if trace {
                     allocs = stack::alloc_stop();
                 }
             }
-            b.push(snap(&stack, &ctl, host_clock, &client_clocks));
+            match edge {
+                Ok(e) => b.push(e),
+                Err(e) => {
+                    ctl.set_phase(STOP);
+                    join_loads(loads)?;
+                    return Err(e);
+                }
+            }
         }
         first = b[slices];
         bounds.push(b);

@@ -246,6 +246,11 @@ impl Stack {
         })
     }
 
+    /// A handle that empties the response cache (`None` without one).
+    pub fn cache_flusher(&self) -> Option<CacheFlusher> {
+        self.cache.clone().map(CacheFlusher)
+    }
+
     /// Cache occupancy: `(entries, bytes)`.
     pub fn cache_occupancy(&self) -> (u64, u64) {
         self.cache.as_ref().map_or((0, 0), |c| {
@@ -334,6 +339,16 @@ fn view_digest(proc_id: u16, view: &NativeObject<'_>) -> Result<Digest, ViewErro
         _ => d.bytes(view.get_bytes(1)?),
     }
     Ok(d)
+}
+
+/// Empties the response cache: `ResponseCache::flush`, which also bumps
+/// its epoch so a store issued before the flush cannot land after it.
+pub struct CacheFlusher(ResponseCache);
+
+impl CacheFlusher {
+    pub fn flush(&self) {
+        self.0.flush();
+    }
 }
 
 /// One xRPC client connection.

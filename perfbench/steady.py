@@ -11,14 +11,13 @@ spread (Q3 - Q1) / median, then checks:
 * every run is correct and exits 0;
 * the share of failed operations is exactly the same in every run of a
   workload;
-* each end-to-end spread except setup_s stays within its bound;
+* each end-to-end spread stays within its bound;
 * with two sets, no end-to-end median of the second is worse than the
   first's by more than its bound.
 
 Before the runs it checks that a run with a wrong expected digest fails.
 
-    python3 perfbench/steady.py [--runs 10] [--seed 1] [--trace]
-        [--workloads a,b] [--out FILE] [CHECKOUT [CHECKOUT]]
+    python3 perfbench/steady.py [--runs 10] [--seed 1] [--trace] [CHECKOUT [CHECKOUT]]
 
 CHECKOUT defaults to the current directory. Each checkout builds into its
 own `.bench_build` unless CARGO_TARGET_DIR is set.
@@ -67,8 +66,6 @@ def main():
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first round")
     ap.add_argument("--trace", action="store_true", help="run the traced (per-layer) runs")
-    ap.add_argument("--workloads", default="", help="comma-separated subset")
-    ap.add_argument("--out", help="also write every run's result to this JSON file")
     ap.add_argument("checkouts", nargs="*", default=["."])
     args = ap.parse_args()
     if len(args.checkouts) > 2:
@@ -77,8 +74,6 @@ def main():
     with open(os.path.join(args.checkouts[0], "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        workloads = [w for w in workloads if w in args.workloads.split(",")]
     metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
     bounds = {m["name"]: m.get("bound") for m in metrics}
     problems = []
@@ -127,7 +122,7 @@ def main():
                 medians[(s, w, name)] = med
                 bound = bounds[name]
                 flag = ""
-                if bound is not None and name != "setup_s":
+                if bound is not None:
                     if spread > bound:
                         flag = "  SPREAD ABOVE BOUND"
                         problems.append(f"set {s} {w} {name}: spread {spread:.4f} > {bound}")
@@ -153,10 +148,6 @@ def main():
                 if worse > m["bound"]:
                     problems.append(f"{w} {name}: set 1 worse than set 0 by {worse:.4f}")
 
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump([{"set": s, "workload": w, "runs": data[(s, w)]}
-                       for (s, w) in data], f, indent=1)
     print()
     for p in problems:
         print("PROBLEM:", p)
